@@ -37,37 +37,25 @@ func benchBatch(n int, tables uint32) control.RecordBatch {
 	return control.RecordBatch{Agent: "agent0", AgentTimeNs: 123456789, Records: recs, RingDrops: 3}
 }
 
-// BenchmarkBatchWireEncoding compares the legacy v1 JSON batch framing
-// with the v2 binary framing — encode+decode cost and bytes per record on
-// the wire. The binary frame is the fixed 48-byte record layout behind a
-// 24-byte header, so it must land at or under 52 bytes/record amortized.
+// BenchmarkBatchWireEncoding measures the v4 binary batch frame —
+// encode+decode cost and bytes per record on the wire. The frame is the
+// fixed 48-byte record layout behind a 41-byte header, so it must land at
+// or under 52 bytes/record amortized.
 func BenchmarkBatchWireEncoding(b *testing.B) {
 	const recordsPerBatch = 256
 	batch := benchBatch(recordsPerBatch, 4)
-	codecs := []struct {
-		name   string
-		encode func(*control.RecordBatch) ([]byte, error)
-	}{
-		{"json-v1", control.EncodeBatchFrameJSON},
-		{"binary-v2", control.EncodeBatchFrame},
+	var wire int
+	for i := 0; i < b.N; i++ {
+		body, err := control.EncodeBatchFrame(&batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := control.DecodeBatchFrame(body); err != nil {
+			b.Fatal(err)
+		}
+		wire = 4 + len(body) // transport length prefix + body
 	}
-	for _, tc := range codecs {
-		b.Run(tc.name, func(b *testing.B) {
-			var wire int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				body, err := tc.encode(&batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := control.DecodeBatchFrame(body); err != nil {
-					b.Fatal(err)
-				}
-				wire = 4 + len(body) // transport length prefix + body
-			}
-			b.ReportMetric(float64(wire)/recordsPerBatch, "wire-bytes/record")
-		})
-	}
+	b.ReportMetric(float64(wire)/recordsPerBatch, "wire-bytes/record")
 }
 
 // BenchmarkCollectorIngest measures the sharded store's ingest path over

@@ -307,7 +307,7 @@ func benchRecordSetup(b *testing.B) (*ebpf.Program, []byte) {
 }
 
 // BenchmarkEBPFInterpRecordScript measures interpreting the record script
-// once per packet — the ablation baseline for the compiled tiers.
+// once per packet — the ablation baseline for the optimized tier.
 func BenchmarkEBPFInterpRecordScript(b *testing.B) {
 	prog, ctx := benchRecordSetup(b)
 	env := benchEnv{}
@@ -320,29 +320,12 @@ func BenchmarkEBPFInterpRecordScript(b *testing.B) {
 	}
 }
 
-// BenchmarkEBPFThreadedRecordScript measures the same script on the
-// threaded-code tier (per-instruction closures).
-func BenchmarkEBPFThreadedRecordScript(b *testing.B) {
-	prog, ctx := benchRecordSetup(b)
-	env := benchEnv{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := prog.RunThreaded(ctx, env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEBPFCompiledRecordScript measures the optimized tier: basic
 // blocks compiled to specialized closure chains with verifier-fact bounds
-// elision and inlined helpers. This is what Program.Run dispatches to on
-// the data path.
+// elision and inlined helpers. This is what Program.Run executes on the
+// data path.
 func BenchmarkEBPFCompiledRecordScript(b *testing.B) {
 	prog, ctx := benchRecordSetup(b)
-	if prog.Tier() != ebpf.TierOptimized {
-		b.Fatalf("record script did not lower: tier %v", prog.Tier())
-	}
 	env := benchEnv{}
 	b.ReportAllocs()
 	b.ResetTimer()

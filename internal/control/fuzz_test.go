@@ -9,7 +9,7 @@ import (
 )
 
 // fuzzBatch is a representative sequenced batch used to seed the fuzzer
-// with valid frames in every wire format.
+// with a valid v4 frame and with frames in the retired wire versions.
 func fuzzBatch() RecordBatch {
 	b := RecordBatch{Agent: "agent-1", AgentTimeNs: 987654321, RingDrops: 3, Seq: 12, Epoch: 4, Degraded: 1}
 	for i := 0; i < 3; i++ {
@@ -32,18 +32,15 @@ func fuzzBatch() RecordBatch {
 }
 
 // FuzzDecodeBatchFrame feeds the collector's frame decoder arbitrary
-// bytes plus mutations of valid v1 (JSON), v2, v3, and v4 frames. The
-// decoder must either return an error or a well-formed batch — never
-// panic, and never allocate a record slice larger than the frame could
+// bytes plus mutations of a valid v4 frame and of the retired v1 (JSON),
+// v2 and v3 frames. The decoder must either return an error or a
+// well-formed batch — never panic, never accept a body that is not a v4
+// frame, and never allocate a record slice larger than the frame could
 // possibly carry (the count field is attacker-controlled). Whatever
 // decodes must survive a re-encode/re-decode round trip unchanged.
 func FuzzDecodeBatchFrame(f *testing.F) {
 	b := fuzzBatch()
 	v4, err := EncodeBatchFrame(&b)
-	if err != nil {
-		f.Fatal(err)
-	}
-	v1, err := EncodeBatchFrameJSON(&b)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -54,13 +51,13 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{batchMagic})
 	f.Add(v4)
-	f.Add(v1)
+	f.Add(encodeRetiredBatchFrame(f, &b, 1))
 	f.Add(empty)
-	f.Add(encodeBatchFrameV2(&b))
-	f.Add(encodeBatchFrameV3(&b))
+	f.Add(encodeRetiredBatchFrame(f, &b, 2))
+	f.Add(encodeRetiredBatchFrame(f, &b, 3))
 	f.Add(v4[:len(v4)-1]) // truncated record tail
 	f.Add(v4[:40])        // truncated v4 header
-	f.Add(v4[:31])        // truncated v3-length prefix of a v4 frame
+	f.Add(v4[:31])        // truncated mid-header
 	// Mutations the decoder must reject cleanly: bad version, a count
 	// field claiming far more records than the body holds.
 	bad := append([]byte(nil), v4...)
@@ -75,22 +72,18 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(body) > 0 && body[0] == batchMagic {
-			// A binary frame carries exactly count*48 record bytes; a
-			// decoded slice longer than the body proves the decoder
-			// trusted the count field over the data.
-			if want := len(got.Records) * core.RecordSize; want > len(body) {
-				t.Fatalf("decoded %d records (%d bytes) from a %d-byte frame", len(got.Records), want, len(body))
-			}
+		if body[0] != batchMagic || body[1] != batchWireV4 {
+			t.Fatalf("decoded a body with magic %#x version %d", body[0], body[1])
+		}
+		// A frame carries exactly count*48 record bytes; a decoded slice
+		// longer than the body proves the decoder trusted the count field
+		// over the data.
+		if want := len(got.Records) * core.RecordSize; want > len(body) {
+			t.Fatalf("decoded %d records (%d bytes) from a %d-byte frame", len(got.Records), want, len(body))
 		}
 		reenc, err := AppendBatchFrame(nil, &got)
 		if err != nil {
-			// Legal only for batches a binary frame cannot represent —
-			// e.g. a JSON envelope with an oversized agent name.
-			if len(got.Agent) <= 1<<16-1 {
-				t.Fatalf("re-encode of decodable batch failed: %v", err)
-			}
-			return
+			t.Fatalf("re-encode of decodable batch failed: %v", err)
 		}
 		rt, err := DecodeBatchFrame(reenc)
 		if err != nil {

@@ -54,15 +54,15 @@ type RecordBatch struct {
 	// assigned when the batch is first drained and kept across retries.
 	// The collector's per-agent ledger uses it to drop re-sent batches
 	// (exactly-once ingest over an at-least-once transport) and to count
-	// gaps as missing batches. Zero means unsequenced: bare heartbeats and
-	// pre-Seq agents, which are ingested unconditionally.
+	// gaps as missing batches. Zero means unsequenced: bare heartbeats,
+	// which are ingested unconditionally.
 	Seq uint64 `json:"seq,omitempty"`
 	// Epoch is the agent's registration lease from the dispatcher,
 	// monotonically increasing across agent restarts. The collector
 	// fences sequenced batches carrying an epoch older than the newest
 	// it has seen for the agent (a zombie pre-restart process), keeping
-	// them out of exactly-once accounting. Zero means unleased (legacy
-	// frames, standalone agents) and is never fenced.
+	// them out of exactly-once accounting. Zero means unleased
+	// (standalone agents) and is never fenced.
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Degraded is the agent's degradation level when the batch was
 	// shipped: 0 full capture, 1 stretched flush, 2 sampling. Recorded

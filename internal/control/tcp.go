@@ -18,23 +18,21 @@ const maxFrameBytes = 16 << 20
 // frame types.
 const (
 	frameControl = "control"
-	frameBatch   = "batch"
 	frameOK      = "ok"
 	frameError   = "error"
 )
 
 // envelope is the JSON wire message: a 4-byte big-endian length prefix
-// followed by this structure. Control packages, replies, and legacy (v1)
-// record batches travel as envelopes; v2 record batches travel as binary
-// bodies under the same length prefix (wire.go), distinguished by their
-// first byte.
+// followed by this structure. Control packages and replies travel as
+// envelopes; record batches (wire.go) and aggregate batches (wire_agg.go)
+// travel as binary bodies under the same length prefix, distinguished by
+// their first byte.
 type envelope struct {
 	Type    string          `json:"type"`
 	Control *ControlPackage `json:"control,omitempty"`
-	Batch   *RecordBatch    `json:"batch,omitempty"`
 	// Ack rides on the "ok" reply to a batch frame: the collector's
-	// backpressure report. Absent from old collectors' replies, which
-	// agents read as "no pressure signal".
+	// backpressure report. Absent when the sink does not report
+	// backpressure, which agents read as "no pressure signal".
 	Ack   *BatchAck `json:"ack,omitempty"`
 	Error string    `json:"error,omitempty"`
 }
@@ -247,15 +245,6 @@ func (s *Server) dispatch(body []byte) envelope {
 		if err := s.agent.Apply(*env.Control); err != nil {
 			return envelope{Type: frameError, Error: err.Error()}
 		}
-	case env.Type == frameBatch && env.Batch != nil:
-		if s.sink == nil {
-			return envelope{Type: frameError, Error: "not a collector endpoint"}
-		}
-		ack, err := s.sinkHandle(*env.Batch)
-		if err != nil {
-			return envelope{Type: frameError, Error: err.Error()}
-		}
-		return envelope{Type: frameOK, Ack: ack}
 	default:
 		return envelope{Type: frameError, Error: fmt.Sprintf("unknown frame %q", env.Type)}
 	}
@@ -354,13 +343,10 @@ func (c *TCPControlClient) Apply(pkg ControlPackage) error {
 	return err
 }
 
-// TCPSink ships record batches to a remote collector endpoint using the v2
-// binary batch frame. Set LegacyJSON to emit v1 JSON envelopes instead
-// (e.g. against a pre-v2 collector).
+// TCPSink ships record batches to a remote collector endpoint using the
+// v4 binary batch frame and aggregate batches using the v5 frame.
 type TCPSink struct {
 	client
-	// LegacyJSON forces v1 JSON batch envelopes. Set before first use.
-	LegacyJSON bool
 }
 
 var _ AckingRecordSink = (*TCPSink)(nil)
@@ -388,33 +374,18 @@ func (s *TCPSink) HandleBatch(b RecordBatch) error {
 }
 
 // HandleBatchAck implements AckingRecordSink over TCP: the collector's
-// backpressure report is read out of the "ok" reply envelope. Replies
-// from old collectors carry no ack, which comes back as the zero
-// BatchAck — "no pressure signal".
+// backpressure report is read out of the "ok" reply envelope. A reply
+// without an ack comes back as the zero BatchAck — "no pressure signal".
 func (s *TCPSink) HandleBatchAck(b RecordBatch) (BatchAck, error) {
-	var (
-		reply envelope
-		err   error
-	)
-	if s.LegacyJSON {
-		var body []byte
-		body, err = EncodeBatchFrameJSON(&b)
-		if err != nil {
-			return BatchAck{}, err
-		}
-		reply, err = s.roundTrip(body)
-	} else {
-		bufp := encodeBufPool.Get().(*[]byte)
-		var body []byte
-		body, err = AppendBatchFrame((*bufp)[:0], &b)
-		if err != nil {
-			encodeBufPool.Put(bufp)
-			return BatchAck{}, err
-		}
-		reply, err = s.roundTrip(body)
-		*bufp = body[:0]
+	bufp := encodeBufPool.Get().(*[]byte)
+	body, err := AppendBatchFrame((*bufp)[:0], &b)
+	if err != nil {
 		encodeBufPool.Put(bufp)
+		return BatchAck{}, err
 	}
+	reply, err := s.roundTrip(body)
+	*bufp = body[:0]
+	encodeBufPool.Put(bufp)
 	if err != nil {
 		return BatchAck{}, err
 	}
@@ -427,8 +398,9 @@ func (s *TCPSink) HandleBatchAck(b RecordBatch) (BatchAck, error) {
 var _ AggSink = (*TCPSink)(nil)
 
 // HandleAgg implements AggSink over TCP with the v5 binary aggregate
-// frame. A pre-v5 collector answers with an error frame, which surfaces
-// here as a RemoteError — the agent's fail-closed signal.
+// frame. A collector whose sink cannot ingest aggregates answers with an
+// error frame, which surfaces here as a RemoteError — the agent's
+// fail-closed signal.
 func (s *TCPSink) HandleAgg(b AggBatch) error {
 	bufp := encodeBufPool.Get().(*[]byte)
 	body, err := AppendAggFrame((*bufp)[:0], &b)

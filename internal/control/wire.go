@@ -2,22 +2,21 @@ package control
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 
 	"vnettracer/internal/core"
 )
 
-// Binary batch framing (protocol v2/v3/v4). Record batches dominate the
-// wire traffic of a deployment, and JSON inflates the fixed 48-byte record
-// roughly 5-8x plus reflection cost on both ends; control packages stay
-// JSON (rare, structured, debuggable). A v4 batch frame body is:
+// Binary batch framing (protocol v4). Record batches dominate the wire
+// traffic of a deployment, and JSON inflates the fixed 48-byte record
+// roughly 5-8x plus reflection cost on both ends; control packages and
+// replies stay JSON (rare, structured, debuggable). A batch frame body is:
 //
 //	[0]     magic, batchMagic (0xB2 — can never collide with '{' (0x7B),
 //	        the first byte of every JSON envelope, so frames are
-//	        self-describing and v1 JSON peers need no negotiation)
-//	[1]     wire version (batchWireV4)
+//	        self-describing)
+//	[1]     wire version (batchWireV4, the only version accepted)
 //	[2:4]   agent-name length, uint16 LE
 //	[4:12]  agent time, int64 LE (heartbeat timestamp)
 //	[12:20] ring drops since last batch, uint64 LE
@@ -28,22 +27,14 @@ import (
 //	[41:..] agent name bytes
 //	[..:..] count * core.RecordSize record bytes (core.Record.Marshal)
 //
-// v3 is the same layout without the epoch/degradation fields (32-byte
-// header) and v2 additionally lacks the sequence number (24-byte header);
-// the decoder accepts both, reading the missing fields as 0, so pre-lease
-// agents keep working against a new collector — an epoch-0 batch is never
-// fenced. The body is carried inside the usual 4-byte big-endian length
-// prefix, like every other frame. For a batch of n records the wire cost
-// is 4 + 41 + len(agent) + 48n bytes — about 52 bytes/record once a batch
+// The body is carried inside the usual 4-byte big-endian length prefix,
+// like every other frame. For a batch of n records the wire cost is
+// 4 + 41 + len(agent) + 48n bytes — about 52 bytes/record once a batch
 // carries a handful of records.
 const (
-	batchMagic        = 0xB2
-	batchWireV2       = 2
-	batchWireV3       = 3
-	batchWireV4       = 4
-	batchHeaderSizeV2 = 24
-	batchHeaderSizeV3 = 32
-	batchHeaderSizeV4 = 41
+	batchMagic      = 0xB2
+	batchWireV4     = 4
+	batchHeaderSize = 41
 )
 
 // EncodeBatchFrame encodes a record batch as a v4 binary frame body
@@ -65,7 +56,7 @@ func AppendBatchFrame(dst []byte, b *RecordBatch) ([]byte, error) {
 		return nil, fmt.Errorf("control: batch of %d records exceeds frame limit", len(b.Records))
 	}
 	base := len(dst)
-	need := batchHeaderSizeV4 + len(b.Agent) + len(b.Records)*core.RecordSize
+	need := batchHeaderSize + len(b.Agent) + len(b.Records)*core.RecordSize
 	if cap(dst)-base < need {
 		grown := make([]byte, base, base+need)
 		copy(grown, dst)
@@ -83,8 +74,8 @@ func AppendBatchFrame(dst []byte, b *RecordBatch) ([]byte, error) {
 	le.PutUint64(hdr[24:], b.Seq)
 	le.PutUint64(hdr[32:], b.Epoch)
 	hdr[40] = b.Degraded
-	copy(hdr[batchHeaderSizeV4:], b.Agent)
-	off := batchHeaderSizeV4 + len(b.Agent)
+	copy(hdr[batchHeaderSize:], b.Agent)
+	off := batchHeaderSize + len(b.Agent)
 	for i := range b.Records {
 		b.Records[i].MarshalTo(hdr[off:])
 		off += core.RecordSize
@@ -92,72 +83,36 @@ func AppendBatchFrame(dst []byte, b *RecordBatch) ([]byte, error) {
 	return out, nil
 }
 
-// EncodeBatchFrameJSON encodes a record batch as a legacy v1 JSON envelope
-// body — what pre-v2 agents put on the wire.
-func EncodeBatchFrameJSON(b *RecordBatch) ([]byte, error) {
-	return json.Marshal(envelope{Type: frameBatch, Batch: b})
-}
-
-// DecodeBatchFrame decodes a batch frame body in either wire format: the
-// v2 binary layout above, or a legacy v1 JSON envelope of type "batch".
-// This is the collector's compatibility path — old agents keep working
-// against a new collector without negotiation.
+// DecodeBatchFrame decodes a v4 batch frame body. Any other body — a
+// JSON envelope, an unknown magic byte, or an earlier wire version — is
+// rejected with an error.
 func DecodeBatchFrame(body []byte) (RecordBatch, error) {
-	if len(body) == 0 {
-		return RecordBatch{}, fmt.Errorf("control: empty batch frame")
+	if len(body) < 2 || body[0] != batchMagic {
+		return RecordBatch{}, fmt.Errorf("control: not a binary batch frame")
 	}
-	if body[0] != batchMagic {
-		var env envelope
-		if err := json.Unmarshal(body, &env); err != nil {
-			return RecordBatch{}, fmt.Errorf("control: decode batch frame: %w", err)
-		}
-		if env.Type != frameBatch || env.Batch == nil {
-			return RecordBatch{}, fmt.Errorf("control: frame %q is not a batch", env.Type)
-		}
-		return *env.Batch, nil
+	if v := body[1]; v != batchWireV4 {
+		return RecordBatch{}, fmt.Errorf("control: unsupported batch wire version %d (want %d)", v, batchWireV4)
 	}
-	return decodeBatchBinary(body)
-}
-
-func decodeBatchBinary(body []byte) (RecordBatch, error) {
-	if len(body) < batchHeaderSizeV2 {
-		return RecordBatch{}, fmt.Errorf("control: binary batch header truncated: %d bytes", len(body))
-	}
-	headerSize := 0
-	switch v := body[1]; v {
-	case batchWireV2:
-		headerSize = batchHeaderSizeV2
-	case batchWireV3:
-		headerSize = batchHeaderSizeV3
-	case batchWireV4:
-		headerSize = batchHeaderSizeV4
-	default:
-		return RecordBatch{}, fmt.Errorf("control: unsupported batch wire version %d (want %d..%d)", v, batchWireV2, batchWireV4)
-	}
-	if len(body) < headerSize {
+	if len(body) < batchHeaderSize {
 		return RecordBatch{}, fmt.Errorf("control: binary batch header truncated: %d bytes", len(body))
 	}
 	le := binary.LittleEndian
 	nameLen := int(le.Uint16(body[2:]))
 	count := int(le.Uint32(body[20:]))
-	want := headerSize + nameLen + count*core.RecordSize
+	want := batchHeaderSize + nameLen + count*core.RecordSize
 	if len(body) != want {
 		return RecordBatch{}, fmt.Errorf("control: binary batch of %d bytes, header declares %d", len(body), want)
 	}
 	b := RecordBatch{
-		Agent:       string(body[headerSize : headerSize+nameLen]),
+		Agent:       string(body[batchHeaderSize : batchHeaderSize+nameLen]),
 		AgentTimeNs: int64(le.Uint64(body[4:])),
 		RingDrops:   le.Uint64(body[12:]),
-	}
-	if body[1] >= batchWireV3 {
-		b.Seq = le.Uint64(body[24:])
-	}
-	if body[1] >= batchWireV4 {
-		b.Epoch = le.Uint64(body[32:])
-		b.Degraded = body[40]
+		Seq:         le.Uint64(body[24:]),
+		Epoch:       le.Uint64(body[32:]),
+		Degraded:    body[40],
 	}
 	if count > 0 {
-		raw := body[headerSize+nameLen:]
+		raw := body[batchHeaderSize+nameLen:]
 		recs, err := core.UnmarshalRecords(raw)
 		if err != nil {
 			return RecordBatch{}, fmt.Errorf("control: binary batch records: %w", err)

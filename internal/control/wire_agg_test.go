@@ -117,10 +117,9 @@ func TestAggFrameRejectsHostileCounts(t *testing.T) {
 }
 
 // TestAggFrameFailsClosedOnV5UnawareDecoder pins satellite-6 semantics:
-// a v5 aggregate frame presented to the record-batch decoder (what a
-// pre-v5 collector would do) errors out instead of misparsing — the
-// magic byte differs from both batchMagic and '{', so the legacy decoder
-// falls into its JSON path and fails.
+// a v5 aggregate frame presented to the record-batch decoder errors out
+// instead of misparsing — its magic byte is not batchMagic, so the
+// record decoder rejects it.
 func TestAggFrameFailsClosedOnV5UnawareDecoder(t *testing.T) {
 	b := wireAgg()
 	body, err := EncodeAggFrame(&b)

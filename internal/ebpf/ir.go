@@ -149,7 +149,7 @@ type irTerm struct {
 
 // irBlock is a straight-line run of operations plus a terminator. insns
 // counts the original bytecode instructions the block covers (wide loads
-// count one, matching ExecStats.Insns in the other tiers); the count is
+// count one, matching the interpreter's ExecStats.Insns); the count is
 // charged on block entry.
 type irBlock struct {
 	ops   []irInsn

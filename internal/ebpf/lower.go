@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// errLower aborts lowering; Load falls back to the threaded tier. For a
+// errLower aborts lowering, and Load reports it as a load error. For a
 // verified program this never fires — every case it guards is already
 // rejected by checkStructure — but lowering is also exercised directly by
 // tests on hand-built programs, so it stays defensive.

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestJITMatchesInterpreter is the differential property: for every
-// verified random program and random context, the threaded-code engine and
-// the interpreter must produce the same R0, the same instruction count,
-// and the same side effects.
-func TestJITMatchesInterpreter(t *testing.T) {
+// TestOptimizedMatchesInterpreter is the differential property: for every
+// verified random program and random context, the optimized tier and the
+// interpreter must produce the same R0, the same instruction count, and
+// the same side effects.
+func TestOptimizedMatchesInterpreter(t *testing.T) {
 	const ctxSize = 64
 	rng := rand.New(rand.NewSource(9))
 	m, err := NewHashMap(4, 8, 8)
@@ -38,13 +38,13 @@ func TestJITMatchesInterpreter(t *testing.T) {
 		r0a, statsA, errA := prog.Run(ctx, envA)
 		r0b, statsB, errB := prog.RunInterpreted(ctx, envB)
 		if (errA == nil) != (errB == nil) {
-			t.Fatalf("error divergence: jit=%v interp=%v\n%s", errA, errB, dump(insns))
+			t.Fatalf("error divergence: opt=%v interp=%v\n%s", errA, errB, dump(insns))
 		}
 		if r0a != r0b {
-			t.Fatalf("r0 divergence: jit=%#x interp=%#x\n%s", r0a, r0b, dump(insns))
+			t.Fatalf("r0 divergence: opt=%#x interp=%#x\n%s", r0a, r0b, dump(insns))
 		}
 		if statsA.Insns != statsB.Insns || statsA.HelperCalls != statsB.HelperCalls {
-			t.Fatalf("stats divergence: jit=%+v interp=%+v\n%s", statsA, statsB, dump(insns))
+			t.Fatalf("stats divergence: opt=%+v interp=%+v\n%s", statsA, statsB, dump(insns))
 		}
 	}
 	if accepted < 50 {
@@ -52,9 +52,9 @@ func TestJITMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// TestJITSideEffectsMatch runs a stateful program (map updates + perf
-// output) through both engines and compares observable state.
-func TestJITSideEffectsMatch(t *testing.T) {
+// TestOptimizedSideEffectsMatch runs a stateful program (map updates +
+// perf output) through both engines and compares observable state.
+func TestOptimizedSideEffectsMatch(t *testing.T) {
 	run := func(exec func(p *Program, ctx []byte, env Env) (uint64, ExecStats, error)) ([][]byte, uint64) {
 		m, err := NewHashMap(4, 8, 16)
 		if err != nil {
@@ -112,64 +112,16 @@ func TestJITSideEffectsMatch(t *testing.T) {
 		}
 		return env.perf, count
 	}
-	perfJ, countJ := run(func(p *Program, ctx []byte, env Env) (uint64, ExecStats, error) {
+	perfO, countO := run(func(p *Program, ctx []byte, env Env) (uint64, ExecStats, error) {
 		return p.Run(ctx, env)
 	})
 	perfI, countI := run(func(p *Program, ctx []byte, env Env) (uint64, ExecStats, error) {
 		return p.RunInterpreted(ctx, env)
 	})
-	if countJ != 5 || countI != 5 {
-		t.Fatalf("counts: jit=%d interp=%d", countJ, countI)
+	if countO != 5 || countI != 5 {
+		t.Fatalf("counts: opt=%d interp=%d", countO, countI)
 	}
-	if len(perfJ) != len(perfI) || len(perfJ) != 5 {
-		t.Fatalf("perf records: jit=%d interp=%d", len(perfJ), len(perfI))
+	if len(perfO) != len(perfI) || len(perfO) != 5 {
+		t.Fatalf("perf records: opt=%d interp=%d", len(perfO), len(perfI))
 	}
-}
-
-func BenchmarkJITvsInterpreter(b *testing.B) {
-	insns, _ := MustAssemble(`
-		mov r6, r1
-		ldxw r2, [r6+28]
-		jne r2, 17, out
-		ldxw r2, [r6+24]
-		jne r2, 9000, out
-		call ktime_get_ns
-		stxdw [r10-16], r0
-		ldxw r2, [r6+0]
-		stxdw [r10-8], r2
-		mov r1, r6
-		mov r2, 0
-		mov r3, r10
-		add r3, -16
-		mov r4, 16
-		call perf_event_output
-	out:
-		mov r0, 0
-		exit
-	`, nil)
-	p, err := Load(ProgramSpec{Name: "b", Type: ProgTypeKprobe, Insns: insns, CtxSize: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := make([]byte, 64)
-	ctx[28] = 17
-	ctx[24] = 0x28
-	ctx[25] = 0x23 // 9000 LE
-	env := &testEnv{perfCap: 1}
-	env.perf = append(env.perf, nil) // keep the buffer "full": drop fast path
-
-	b.Run("jit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := p.Run(ctx, env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("interpreter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := p.RunInterpreted(ctx, env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// --- Tier selection -------------------------------------------------------
+// --- Loading -------------------------------------------------------------
 
 func mustLoad(t *testing.T, insns []Insn, maps []Map) *Program {
 	t.Helper()
@@ -27,38 +27,9 @@ func TestTierDefaultsToOptimized(t *testing.T) {
 	}
 }
 
-func TestTierEnvForcing(t *testing.T) {
-	cases := []struct {
-		val  string
-		want Tier
-	}{
-		{"interp", TierInterpreter},
-		{"interpreter", TierInterpreter},
-		{"threaded", TierThreaded},
-		{"jit", TierThreaded},
-		{"opt", TierOptimized},
-		{"optimized", TierOptimized},
-		{"bogus", TierOptimized}, // unknown values are ignored
-		{"", TierOptimized},
-	}
-	for _, tc := range cases {
-		t.Run(tc.val, func(t *testing.T) {
-			t.Setenv(tierEnvVar, tc.val)
-			p := mustLoad(t, trivialInsns(), nil)
-			if p.Tier() != tc.want {
-				t.Fatalf("%s=%q: tier = %v, want %v", tierEnvVar, tc.val, p.Tier(), tc.want)
-			}
-			r0, _, err := p.Run(make([]byte, 64), &testEnv{})
-			if err != nil || r0 != 42 {
-				t.Fatalf("forced run: r0=%d err=%v", r0, err)
-			}
-		})
-	}
-}
-
 // TestUnreachableTailStillLowers pins the fuzz-found case where the
 // verifier accepts dead code after exit (it proves nothing about it) and
-// lowering must skip it rather than decline the optimized tier.
+// lowering must skip it rather than fail Load.
 func TestUnreachableTailStillLowers(t *testing.T) {
 	insns := []Insn{
 		Mov64Imm(R0, 7),
@@ -66,9 +37,6 @@ func TestUnreachableTailStillLowers(t *testing.T) {
 		LoadMem(R3, R4, 100, SizeB), // unreachable garbage: uninit regs, wild offset
 	}
 	p := mustLoad(t, insns, nil)
-	if p.Tier() != TierOptimized {
-		t.Fatalf("tier = %v, want %v", p.Tier(), TierOptimized)
-	}
 	r0, _, err := p.Run(make([]byte, 64), &testEnv{})
 	if err != nil || r0 != 7 {
 		t.Fatalf("run: r0=%d err=%v", r0, err)
@@ -86,11 +54,8 @@ func TestJumpGapStillLowers(t *testing.T) {
 		Exit(),
 	}
 	p := mustLoad(t, insns, nil)
-	if p.Tier() != TierOptimized {
-		t.Fatalf("tier = %v, want %v", p.Tier(), TierOptimized)
-	}
 	for name, run := range map[string]func([]byte, Env) (uint64, ExecStats, error){
-		"interp": p.RunInterpreted, "threaded": p.RunThreaded, "optimized": p.RunOptimized,
+		"interp": p.RunInterpreted, "optimized": p.Run,
 	} {
 		r0, _, err := run(make([]byte, 64), &testEnv{})
 		if err != nil || r0 != 3 {
@@ -107,9 +72,9 @@ func TestJumpGapStillLowers(t *testing.T) {
 // sentinel identity must survive each engine's "at insn" context wrapping
 // so callers can dispatch on errors.Is.
 
-// faultingEngines runs unverified insns through all three engines'
-// internals (the optimized tier via nil-facts lowering, which keeps every
-// access fully checked) and returns the per-engine errors.
+// faultingEngines runs unverified insns through both engines' internals
+// (the optimized tier via nil-facts lowering, which keeps every access
+// fully checked) and returns the per-engine errors.
 func faultingEngines(t *testing.T, insns []Insn, wantOptimized bool) map[string]error {
 	t.Helper()
 	errs := map[string]error{}
@@ -117,13 +82,6 @@ func faultingEngines(t *testing.T, insns []Insn, wantOptimized bool) map[string]
 
 	_, _, err := run(insns, nil, ctx, &testEnv{})
 	errs["interp"] = err
-
-	steps, cerr := compile(insns)
-	if cerr != nil {
-		t.Fatalf("compile: %v", cerr)
-	}
-	_, _, err = runCompiled(steps, nil, ctx, &testEnv{})
-	errs["threaded"] = err
 
 	ir, lerr := lowerProgram(insns, nil, nil)
 	if lerr != nil {
@@ -158,17 +116,15 @@ func TestErrorChainMemFault(t *testing.T) {
 
 func TestErrorChainStepBudget(t *testing.T) {
 	// A self-loop exhausts the instruction budget. Lowering rejects back
-	// edges, so only the looping engines reach the budget error.
+	// edges, so only the interpreter reaches the budget error.
 	insns := []Insn{
 		Mov64Imm(R0, 0),
 		Ja(-1),
 		Exit(),
 	}
 	errs := faultingEngines(t, insns, false)
-	for _, name := range []string{"interp", "threaded"} {
-		if !errors.Is(errs[name], ErrRuntimeSteps) {
-			t.Errorf("%s: err %v does not wrap ErrRuntimeSteps", name, errs[name])
-		}
+	if !errors.Is(errs["interp"], ErrRuntimeSteps) {
+		t.Errorf("interp: err %v does not wrap ErrRuntimeSteps", errs["interp"])
 	}
 	if _, ok := errs["optimized"]; ok {
 		t.Error("optimized tier lowered a back edge")
@@ -217,12 +173,9 @@ type tierRun struct {
 
 func runAllTiers(t *testing.T, p *Program, ctx []byte) map[string]tierRun {
 	t.Helper()
-	if p.Tier() != TierOptimized {
-		t.Fatalf("program did not lower: tier %v", p.Tier())
-	}
 	out := map[string]tierRun{}
 	for name, run := range map[string]func([]byte, Env) (uint64, ExecStats, error){
-		"interp": p.RunInterpreted, "threaded": p.RunThreaded, "optimized": p.RunOptimized,
+		"interp": p.RunInterpreted, "optimized": p.Run,
 	} {
 		env := &testEnv{time: 99, cpu: 1, perfCap: 0}
 		r0, stats, err := run(ctx, env)
@@ -236,18 +189,15 @@ func runAllTiers(t *testing.T, p *Program, ctx []byte) map[string]tierRun {
 
 func assertTierParity(t *testing.T, runs map[string]tierRun) {
 	t.Helper()
-	ref := runs["interp"]
-	for _, name := range []string{"threaded", "optimized"} {
-		got := runs[name]
-		if got.r0 != ref.r0 {
-			t.Errorf("%s: r0 = %#x, interp %#x", name, got.r0, ref.r0)
-		}
-		if got.stats != ref.stats {
-			t.Errorf("%s: stats = %+v, interp %+v", name, got.stats, ref.stats)
-		}
-		if len(got.env.perf) != len(ref.env.perf) {
-			t.Errorf("%s: %d perf events, interp %d", name, len(got.env.perf), len(ref.env.perf))
-		}
+	ref, got := runs["interp"], runs["optimized"]
+	if got.r0 != ref.r0 {
+		t.Errorf("optimized: r0 = %#x, interp %#x", got.r0, ref.r0)
+	}
+	if got.stats != ref.stats {
+		t.Errorf("optimized: stats = %+v, interp %+v", got.stats, ref.stats)
+	}
+	if len(got.env.perf) != len(ref.env.perf) {
+		t.Errorf("optimized: %d perf events, interp %d", len(got.env.perf), len(ref.env.perf))
 	}
 }
 

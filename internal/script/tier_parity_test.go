@@ -29,10 +29,10 @@ func (e *parityEnv) PerfEventOutput(data []byte) bool {
 func (e *parityEnv) TracePrintk(msg string) {}
 
 // TestCompiledScriptsTierParity runs every action combination the script
-// compiler supports on all three execution tiers and requires identical
-// results: R0, execution statistics, perf output, and final map state.
-// Each tier gets a freshly compiled program (fresh maps) and a fresh env,
-// so nothing leaks between engines.
+// compiler supports on the optimized tier and the reference interpreter
+// and requires identical results: R0, execution statistics, perf output,
+// and final map state. Each tier gets a freshly compiled program (fresh
+// maps) and a fresh env, so nothing leaks between engines.
 func TestCompiledScriptsTierParity(t *testing.T) {
 	combos := [][]Action{
 		{ActionRecord},
@@ -80,7 +80,7 @@ func TestCompiledScriptsTierParity(t *testing.T) {
 		}
 		for ctxName, ctx := range ctxs {
 			t.Run(fmt.Sprintf("%v/%s", combo, ctxName), func(t *testing.T) {
-				runTier := func(tier ebpf.Tier) result {
+				runTier := func(run func(*ebpf.Program, []byte, ebpf.Env) (uint64, ebpf.ExecStats, error)) result {
 					insns, maps, err := CompileToInsns(spec)
 					if err != nil {
 						t.Fatalf("compile: %v", err)
@@ -92,22 +92,12 @@ func TestCompiledScriptsTierParity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("load: %v", err)
 					}
-					if prog.Tier() != ebpf.TierOptimized {
-						t.Fatalf("script program did not lower: tier %v", prog.Tier())
-					}
 					env := &parityEnv{}
 					var res result
 					var rerr error
-					switch tier {
-					case ebpf.TierInterpreter:
-						res.r0, res.stats, rerr = prog.RunInterpreted(ctx, env)
-					case ebpf.TierThreaded:
-						res.r0, res.stats, rerr = prog.RunThreaded(ctx, env)
-					case ebpf.TierOptimized:
-						res.r0, res.stats, rerr = prog.RunOptimized(ctx, env)
-					}
+					res.r0, res.stats, rerr = run(prog, ctx, env)
 					if rerr != nil {
-						t.Fatalf("run tier %v: %v", tier, rerr)
+						t.Fatalf("run: %v", rerr)
 					}
 					res.perf = env.perf
 					for i, m := range maps {
@@ -118,12 +108,9 @@ func TestCompiledScriptsTierParity(t *testing.T) {
 					sort.Strings(res.maps)
 					return res
 				}
-				ref := runTier(ebpf.TierInterpreter)
-				for _, tier := range []ebpf.Tier{ebpf.TierThreaded, ebpf.TierOptimized} {
-					got := runTier(tier)
-					if !reflect.DeepEqual(got, ref) {
-						t.Errorf("%v diverges from interpreter:\n%v: %+v\ninterp: %+v", tier, tier, got, ref)
-					}
+				ref := runTier((*ebpf.Program).RunInterpreted)
+				if got := runTier((*ebpf.Program).Run); !reflect.DeepEqual(got, ref) {
+					t.Errorf("optimized diverges from interpreter:\noptimized: %+v\ninterp: %+v", got, ref)
 				}
 			})
 		}

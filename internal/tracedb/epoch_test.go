@@ -124,9 +124,9 @@ func TestAdmitBatchStaleHeartbeatIgnored(t *testing.T) {
 	}
 }
 
-// TestAdmitBatchEpochZeroNeverFenced: epoch 0 means unleased (legacy wire
-// versions, standalone agents); such traffic rides the normal dedup path
-// even after a leased incarnation has been observed.
+// TestAdmitBatchEpochZeroNeverFenced: epoch 0 means unleased (standalone
+// agents); such traffic rides the normal dedup path even after a leased
+// incarnation has been observed.
 func TestAdmitBatchEpochZeroNeverFenced(t *testing.T) {
 	db := New()
 	if got := admit(db, "a", 0, 1, 5, 100); got != BatchFresh {

@@ -91,8 +91,8 @@ type AgentLedger struct {
 	// a gap batch that later arrives fenced moves to FencedRecords.
 	MissingBatches uint64
 	// Epoch is the newest registration lease observed for the agent.
-	// Zero means the agent never presented a lease (legacy wire
-	// versions, standalone agents); such agents are never fenced.
+	// Zero means the agent never presented a lease (standalone
+	// agents); such agents are never fenced.
 	Epoch uint64
 	// FencedBatches counts stale-epoch sequenced batches rejected by
 	// the epoch fence (every arrival, including zombie retries);
@@ -129,21 +129,6 @@ func (db *DB) Heartbeat(agent string, nowNs int64) {
 	if nowNs > l.lastSeenNs {
 		l.lastSeenNs = nowNs
 	}
-}
-
-// MarkBatchSeq records a batch sequence number for an agent and reports
-// whether the batch is fresh (false = already ingested, drop it). Seq 0
-// means "unsequenced" (bare heartbeats, pre-Seq agents) and is always
-// fresh — those batches carry no replayable payload. The ledger tolerates
-// out-of-order arrival: seqs above the contiguous high-water mark park in
-// a pending set until the gap below them fills.
-func (db *DB) MarkBatchSeq(agent string, seq uint64) bool {
-	if seq == 0 {
-		return true
-	}
-	db.hbMu.Lock()
-	defer db.hbMu.Unlock()
-	return db.ledgerEntry(agent).markSeq(seq)
 }
 
 // BatchStatus classifies a batch presented to AdmitBatch.

@@ -28,34 +28,38 @@ func TestHeartbeatOutOfOrderKeepsMax(t *testing.T) {
 	}
 }
 
-// TestMarkBatchSeqDedupAndReorder exercises the exactly-once ledger: fresh
-// seqs accepted once, duplicates rejected, and out-of-order arrival parks
-// above the high-water mark until the gap fills.
-func TestMarkBatchSeqDedupAndReorder(t *testing.T) {
+// TestAdmitBatchDedupAndReorder exercises the exactly-once ledger at
+// epoch 0 (an unleased agent): fresh seqs accepted once, duplicates
+// rejected, and out-of-order arrival parks above the high-water mark
+// until the gap fills.
+func TestAdmitBatchDedupAndReorder(t *testing.T) {
 	db := New()
+	admit := func(agent string, seq uint64) BatchStatus {
+		return db.AdmitBatch(agent, 0, seq, 1, 0, 0)
+	}
 	for _, seq := range []uint64{1, 2} {
-		if !db.MarkBatchSeq("a", seq) {
-			t.Fatalf("fresh seq %d rejected", seq)
+		if st := admit("a", seq); st != BatchFresh {
+			t.Fatalf("fresh seq %d classified %v", seq, st)
 		}
 	}
-	if db.MarkBatchSeq("a", 2) {
+	if admit("a", 2) != BatchDuplicate {
 		t.Fatal("duplicate seq 2 accepted")
 	}
-	if db.MarkBatchSeq("a", 1) {
+	if admit("a", 1) != BatchDuplicate {
 		t.Fatal("duplicate seq 1 below high-water accepted")
 	}
 	// Out of order: 5 parks pending, then 3 and 4 fill the gap.
-	if !db.MarkBatchSeq("a", 5) {
+	if admit("a", 5) != BatchFresh {
 		t.Fatal("out-of-order seq 5 rejected")
 	}
 	l, _ := db.Ledger("a")
 	if l.HighWaterSeq != 2 || l.PendingBatches != 1 || l.MaxSeq != 5 || l.MissingBatches != 2 {
 		t.Fatalf("ledger after reorder = %+v", l)
 	}
-	if db.MarkBatchSeq("a", 5) {
+	if admit("a", 5) != BatchDuplicate {
 		t.Fatal("duplicate pending seq 5 accepted")
 	}
-	if !db.MarkBatchSeq("a", 3) || !db.MarkBatchSeq("a", 4) {
+	if admit("a", 3) != BatchFresh || admit("a", 4) != BatchFresh {
 		t.Fatal("gap-filling seqs rejected")
 	}
 	l, _ = db.Ledger("a")
@@ -66,11 +70,14 @@ func TestMarkBatchSeqDedupAndReorder(t *testing.T) {
 		t.Fatalf("dup batches = %d, want 3", l.DupBatches)
 	}
 	// Seq 0 is unsequenced: always fresh, never recorded.
-	if !db.MarkBatchSeq("a", 0) || !db.MarkBatchSeq("a", 0) {
+	if admit("a", 0) != BatchFresh || admit("a", 0) != BatchFresh {
 		t.Fatal("unsequenced batch rejected")
 	}
+	if l, _ := db.Ledger("a"); l.HighWaterSeq != 5 || l.DupBatches != 3 {
+		t.Fatalf("unsequenced batches touched the seq ledger: %+v", l)
+	}
 	// Ledgers are per agent.
-	if !db.MarkBatchSeq("b", 5) {
+	if admit("b", 5) != BatchFresh {
 		t.Fatal("agent b's seq 5 rejected by agent a's ledger")
 	}
 }
@@ -79,8 +86,8 @@ func TestMarkBatchSeqDedupAndReorder(t *testing.T) {
 // from its spool) stays visible as a missing batch.
 func TestLedgerCountsMissing(t *testing.T) {
 	db := New()
-	db.MarkBatchSeq("a", 1)
-	db.MarkBatchSeq("a", 4) // 2 and 3 never arrive
+	db.AdmitBatch("a", 0, 1, 1, 0, 0)
+	db.AdmitBatch("a", 0, 4, 1, 0, 0) // 2 and 3 never arrive
 	l, _ := db.Ledger("a")
 	if l.MissingBatches != 2 {
 		t.Fatalf("missing = %d, want 2", l.MissingBatches)
