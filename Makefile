@@ -25,12 +25,12 @@ staticcheck:
 		echo "staticcheck unavailable (offline module cache?) -- skipped"; \
 	fi
 
-# Race-detector pass over the concurrent record path (per-CPU rings,
-# store, control plane, metrics run against live tables) plus the
-# cluster conformance corpus.
+# Race-detector pass over the concurrent record path (probe registry,
+# per-CPU rings, store, control plane, metrics run against live tables)
+# plus the cluster conformance corpus.
 .PHONY: race
 race:
-	$(GO) test -race ./internal/core ./internal/tracedb ./internal/control ./internal/metrics ./internal/conformance
+	$(GO) test -race ./internal/kernel ./internal/core ./internal/tracedb ./internal/control ./internal/metrics ./internal/conformance
 
 # Fault-injection pass over delivery semantics: flaky collector, lost
 # acknowledgements, connection kill before reply, collector restart, and
@@ -72,10 +72,12 @@ check: tier1 vet bench-build staticcheck race faults crash fuzz cover bench-json
 # The end-to-end benchmark is a nested module (pipebench/go.mod), so the
 # root `go build ./...` and `go test ./...` never compile it. Vetting it
 # here catches an exported name it uses disappearing from the main
-# module.
+# module; its own tests (statistics, calibration, generator, metric
+# lists) take a few seconds.
 .PHONY: bench-build
 bench-build:
 	cd pipebench && $(GO) vet ./...
+	cd pipebench && $(GO) test .
 
 .PHONY: bench-wire
 bench-wire:

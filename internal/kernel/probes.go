@@ -2,7 +2,7 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"vnettracer/internal/vnet"
@@ -62,64 +62,73 @@ type ProbeHandler func(ctx *ProbeCtx) (costNs int64)
 type ProbeRegistry struct {
 	mu     sync.Mutex
 	nextID int
-	sites  map[string]map[int]ProbeHandler
-	fires  map[string]uint64
+	sites  map[string]*probeSite
+}
+
+// probeSite is one site's handlers and fire count. handlers is an
+// immutable snapshot in attach order (IDs increase monotonically, so this
+// is also ID order); Attach and detach replace it copy-on-write, so Fire
+// can run a snapshot outside the lock without allocating.
+type probeSite struct {
+	handlers []attachedProbe
+	fires    uint64
+}
+
+type attachedProbe struct {
+	id int
+	h  ProbeHandler
 }
 
 // NewProbeRegistry returns an empty registry.
 func NewProbeRegistry() *ProbeRegistry {
-	return &ProbeRegistry{
-		sites: make(map[string]map[int]ProbeHandler),
-		fires: make(map[string]uint64),
-	}
+	return &ProbeRegistry{sites: make(map[string]*probeSite)}
 }
 
 // Attach registers a handler at a site and returns a detach function.
+// Calling detach more than once is a no-op.
 func (r *ProbeRegistry) Attach(site string, h ProbeHandler) (detach func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	id := r.nextID
 	r.nextID++
-	m, ok := r.sites[site]
+	s, ok := r.sites[site]
 	if !ok {
-		m = make(map[int]ProbeHandler)
-		r.sites[site] = m
+		s = &probeSite{}
+		r.sites[site] = s
 	}
-	m[id] = h
+	// Clip makes append copy, so running firings keep the old snapshot.
+	s.handlers = append(slices.Clip(s.handlers), attachedProbe{id: id, h: h})
 	return func() {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		delete(m, id)
+		for i, a := range s.handlers {
+			if a.id == id {
+				s.handlers = slices.Delete(slices.Clone(s.handlers), i, i+1)
+				return
+			}
+		}
 	}
 }
 
-// Fire invokes every handler attached at ctx.Site and returns the summed
-// CPU cost. Sites with no handlers cost nothing, preserving the paper's
-// "no tracing, no overhead" property.
+// Fire invokes every handler attached at ctx.Site, in attach order, and
+// returns the summed CPU cost. Sites with no handlers cost nothing,
+// preserving the paper's "no tracing, no overhead" property. Handlers run
+// outside the lock on the snapshot current at the call, so a concurrent
+// detach takes effect from the next firing on.
 func (r *ProbeRegistry) Fire(ctx *ProbeCtx) int64 {
 	r.mu.Lock()
-	m := r.sites[ctx.Site]
-	if len(m) == 0 {
+	s := r.sites[ctx.Site]
+	if s == nil || len(s.handlers) == 0 {
 		r.mu.Unlock()
 		return 0
 	}
-	r.fires[ctx.Site]++
-	// Copy handlers out so they run without holding the lock and in a
-	// deterministic order.
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	handlers := make([]ProbeHandler, len(ids))
-	for i, id := range ids {
-		handlers[i] = m[id]
-	}
+	s.fires++
+	handlers := s.handlers
 	r.mu.Unlock()
 
 	var cost int64
-	for _, h := range handlers {
-		cost += h(ctx)
+	for _, a := range handlers {
+		cost += a.h(ctx)
 	}
 	return cost
 }
@@ -128,14 +137,20 @@ func (r *ProbeRegistry) Fire(ctx *ProbeCtx) int64 {
 func (r *ProbeRegistry) Fires(site string) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.fires[site]
+	if s := r.sites[site]; s != nil {
+		return s.fires
+	}
+	return 0
 }
 
 // Attached reports the number of handlers at a site.
 func (r *ProbeRegistry) Attached(site string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.sites[site])
+	if s := r.sites[site]; s != nil {
+		return len(s.handlers)
+	}
+	return 0
 }
 
 func (c *ProbeCtx) String() string {

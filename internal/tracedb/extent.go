@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"vnettracer/internal/core"
 )
@@ -43,13 +44,18 @@ type Extent struct {
 // any table — for offline tools and benchmarks that want the codec
 // without a DB.
 func SealRecords(tpid uint32, recs []core.Record) *Extent {
-	return sealExtent(tpid, 0, recs)
+	blob := appendExtentBlob(make([]byte, 0, len(recs)*12), tpid, recs)
+	e := newExtent(0, recs, len(blob))
+	e.blob = blob
+	return e
 }
 
-// sealExtent compresses recs (one table's next run of records, batch
-// aligned by construction) into an immutable extent.
-func sealExtent(tpid uint32, seq int, recs []core.Record) *Extent {
-	e := &Extent{seq: seq, count: len(recs), filter: newBloom(len(recs))}
+// newExtent builds the metadata of the extent recs seal into (one
+// table's next run of records, batch aligned by construction): count,
+// time range and bloom filter. The caller attaches the encoded blob of
+// storedBytes bytes, resident or spilled.
+func newExtent(seq int, recs []core.Record, storedBytes int) *Extent {
+	e := &Extent{seq: seq, count: len(recs), filter: newBloom(len(recs)), storedBytes: storedBytes}
 	if len(recs) > 0 {
 		e.minTimeNs, e.maxTimeNs = recs[0].TimeNs, recs[0].TimeNs
 	}
@@ -63,22 +69,21 @@ func sealExtent(tpid uint32, seq int, recs []core.Record) *Extent {
 		}
 		e.filter.add(recs[i].TraceID)
 	}
-	e.blob = appendExtentBlob(make([]byte, 0, len(recs)*12), tpid, recs)
-	e.storedBytes = len(e.blob)
 	return e
 }
 
-// spill writes the extent's blob to dir and drops it from memory. The
-// write goes to a temp file first and is renamed into place, so a crash
-// mid-write never leaves a half-extent under the final name; the blob's
-// self-describing header makes the landed file decodable on its own.
-func (e *Extent) spill(dir string, tpid uint32) error {
+// spill writes the extent's encoded blob to dir and records the path; the
+// extent keeps no bytes in memory. The write goes to a temp file first
+// and is renamed into place, so a crash mid-write never leaves a
+// half-extent under the final name; the blob's self-describing header
+// makes the landed file decodable on its own.
+func (e *Extent) spill(dir string, tpid uint32, blob []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	final := filepath.Join(dir, fmt.Sprintf("tp%08x-%06d.vnx", tpid, e.seq))
 	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, e.blob, 0o644); err != nil {
+	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, final); err != nil {
@@ -86,7 +91,6 @@ func (e *Extent) spill(dir string, tpid uint32) error {
 		return err
 	}
 	e.path = final
-	e.blob = nil
 	return nil
 }
 
@@ -97,6 +101,10 @@ func (e *Extent) remove() {
 		os.Remove(e.path)
 	}
 }
+
+// extentReaders pools the read buffers of spilled-extent scans, so a
+// trace-ID lookup that decodes one extent does not allocate 32 KiB.
+var extentReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 32*1024) }}
 
 // scan streams the extent's records in stored order. A visitor stop is
 // not an error; a decode or file-read failure is.
@@ -109,7 +117,11 @@ func (e *Extent) scan(fn func(core.Record) bool) error {
 		if openErr != nil {
 			return openErr
 		}
-		err = scanExtentStream(bufio.NewReaderSize(f, 32*1024), fn)
+		br := extentReaders.Get().(*bufio.Reader)
+		br.Reset(f)
+		err = scanExtentStream(br, fn)
+		br.Reset(nil) // drop the file so the pool does not pin it
+		extentReaders.Put(br)
 		f.Close()
 	}
 	if err == errStopScan {

@@ -1,6 +1,7 @@
 package tracedb
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -9,14 +10,15 @@ import (
 )
 
 // Table holds all records from one tracepoint, stored as an append-only,
-// time-partitioned sequence of segments: a mutable in-memory head (raw
-// records plus an exact trace-ID index) and a list of sealed, immutable,
-// compressed extents — oldest first, in insertion order. Seals happen at
-// batch boundaries (Insert appends whole per-tracepoint runs and only
-// then checks the head's size), so every extent covers whole delivered
-// batches and the collector's ledger state at any extent boundary is
-// self-describing. All methods are safe for concurrent use with
-// DB.Insert.
+// time-partitioned sequence of segments: a mutable in-memory head of raw
+// records and a list of sealed, immutable, compressed extents — oldest
+// first, in insertion order. The head is bounded by the segment size, so
+// trace-ID lookups scan it linearly rather than maintaining an index on
+// the insert path. Seals happen at batch boundaries (Insert appends whole
+// per-tracepoint runs and only then checks the head's size), so every
+// extent covers whole delivered batches and the collector's ledger state
+// at any extent boundary is self-describing. All methods are safe for
+// concurrent use with DB.Insert.
 type Table struct {
 	TPID uint32
 	Name string
@@ -30,10 +32,14 @@ type Table struct {
 	// time.
 	skewNs int64
 
-	// head is the mutable segment; headIndex maps trace IDs to head
-	// positions for exact lookups before sealing.
-	head      []core.Record
-	headIndex map[uint32][]int32
+	// head is the mutable segment. Each segment gets a fresh backing
+	// array (scan snapshots may still hold the old one), grown by
+	// growHead; lastSegLen is the record count of the last sealed one.
+	head       []core.Record
+	lastSegLen int
+	// sealBuf is scratch for encoding extents, reused across seals under
+	// mu; a blob that stays resident is copied out at its exact size.
+	sealBuf []byte
 
 	// sealed lists immutable extents oldest-first. sealedRecords and
 	// sealedBytes are running totals so Len and retention are O(1).
@@ -59,7 +65,7 @@ type Table struct {
 }
 
 func newTable(db *DB, tpid uint32, name string) *Table {
-	return &Table{TPID: tpid, Name: name, db: db, headIndex: make(map[uint32][]int32)}
+	return &Table{TPID: tpid, Name: name, db: db}
 }
 
 // append adds a run of records (all with this table's TPID) under the
@@ -68,14 +74,39 @@ func newTable(db *DB, tpid uint32, name string) *Table {
 // extents always break at batch-run boundaries.
 func (t *Table) append(recs []core.Record) {
 	t.mu.Lock()
-	for i := range recs {
-		t.headIndex[recs[i].TraceID] = append(t.headIndex[recs[i].TraceID], int32(len(t.head)))
-		t.head = append(t.head, recs[i])
-	}
+	t.growHead(len(recs))
+	t.head = append(t.head, recs...)
 	if len(t.head)*core.RecordSize >= t.db.cfg.SegmentBytes {
 		t.sealLocked()
 	}
 	t.mu.Unlock()
+}
+
+// growHead makes room for n more head records. Capacity doubles but
+// stops at the seal threshold plus the incoming run, the most a segment
+// holds before it seals, so a full segment costs one allocation rather
+// than a doubling chain that overshoots it. A new segment starts at the
+// size the previous one reached: a table that fills segments allocates
+// each once, while the many tables that never seal grow from small.
+func (t *Table) growHead(n int) {
+	need := len(t.head) + n
+	if need <= cap(t.head) {
+		return
+	}
+	limit := (t.db.cfg.SegmentBytes+core.RecordSize-1)/core.RecordSize + n
+	c := 2 * cap(t.head)
+	if t.head == nil {
+		c = t.lastSegLen
+	}
+	if c > limit {
+		c = limit
+	}
+	if c < need {
+		c = need
+	}
+	head := make([]core.Record, len(t.head), c)
+	copy(head, t.head)
+	t.head = head
 }
 
 // sealLocked compresses the head into a new immutable extent, spills it
@@ -85,25 +116,29 @@ func (t *Table) sealLocked() {
 	if len(t.head) == 0 {
 		return
 	}
-	ext := sealExtent(t.TPID, t.sealSeq, t.head)
+	t.sealBuf = appendExtentBlob(t.sealBuf[:0], t.TPID, t.head)
+	ext := newExtent(t.sealSeq, t.head, len(t.sealBuf))
 	t.sealSeq++
 	if dir := t.db.cfg.DataDir; dir != "" {
 		// Spill is best-effort: a failed write (disk full, bad dir) keeps
 		// the blob resident rather than losing the records — but the
 		// failure is counted, because a resident-only extent is invisible
 		// to crash recovery and an operator needs to see disk trouble.
-		if err := ext.spill(dir, t.TPID); err != nil {
+		if err := ext.spill(dir, t.TPID, t.sealBuf); err != nil {
 			t.spillErrors++
 			t.lastSpillErr = err
 		}
+	}
+	if !ext.Spilled() {
+		ext.blob = bytes.Clone(t.sealBuf)
 	}
 	t.sealed = append(t.sealed, ext)
 	t.sealedRecords += ext.count
 	t.sealedBytes += int64(ext.storedBytes)
 	// The old head backing array may still be referenced by concurrent
 	// scan snapshots, so start a fresh one rather than reusing it.
+	t.lastSegLen = len(t.head)
 	t.head = nil
-	t.headIndex = make(map[uint32][]int32)
 	t.enforceRetentionLocked()
 }
 
@@ -231,19 +266,9 @@ func (t *Table) ScanAligned(fn func(core.Record) bool) { t.scanSegments(true, fn
 
 // ByTraceID returns all records for one packet ID in insertion order.
 // Sealed extents are consulted only when their Bloom filter admits the
-// ID; the head uses its exact index.
+// ID; the head, bounded by the segment size, is scanned directly.
 func (t *Table) ByTraceID(id uint32) []core.Record {
-	t.mu.RLock()
-	exts := t.sealed
-	var headOut []core.Record
-	if idxs := t.headIndex[id]; len(idxs) > 0 {
-		headOut = make([]core.Record, len(idxs))
-		for i, idx := range idxs {
-			headOut[i] = t.head[idx]
-		}
-	}
-	t.mu.RUnlock()
-
+	exts, head, _ := t.snapshot()
 	var out []core.Record
 	for _, e := range exts {
 		if !e.mayContain(id) {
@@ -258,23 +283,18 @@ func (t *Table) ByTraceID(id uint32) []core.Record {
 			t.readErrors.Add(1)
 		}
 	}
-	return append(out, headOut...)
+	for i := range head {
+		if head[i].TraceID == id {
+			out = append(out, head[i])
+		}
+	}
+	return out
 }
 
 // FirstByTraceID returns the first record for a packet ID in insertion
 // order, with timestamp alignment applied.
 func (t *Table) FirstByTraceID(id uint32) (core.Record, bool) {
-	t.mu.RLock()
-	exts := t.sealed
-	skew := t.skewNs
-	var headFirst core.Record
-	headOK := false
-	if idxs := t.headIndex[id]; len(idxs) > 0 {
-		headFirst = t.head[idxs[0]]
-		headOK = true
-	}
-	t.mu.RUnlock()
-
+	exts, head, skew := t.snapshot()
 	for _, e := range exts {
 		if !e.mayContain(id) {
 			continue
@@ -296,9 +316,12 @@ func (t *Table) FirstByTraceID(id uint32) (core.Record, bool) {
 			return found, true
 		}
 	}
-	if headOK {
-		headFirst.TimeNs = alignNs(headFirst.TimeNs, skew)
-		return headFirst, true
+	for i := range head {
+		if head[i].TraceID == id {
+			r := head[i]
+			r.TimeNs = alignNs(r.TimeNs, skew)
+			return r, true
+		}
 	}
 	return core.Record{}, false
 }
