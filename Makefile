@@ -10,6 +10,13 @@ tier1:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: fails when gofmt would rewrite any file. The
+# benchmark's build directory holds the module cache, which is not ours.
+.PHONY: fmt
+fmt:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
 # Deeper static analysis. staticcheck is fetched via `go run`, which
 # needs either a warm module cache or network access; when neither is
 # available (hermetic CI, offline dev) the target degrades to a skip
@@ -33,8 +40,8 @@ race:
 	$(GO) test -race ./internal/kernel ./internal/core ./internal/tracedb ./internal/control ./internal/metrics ./internal/conformance
 
 # Fault-injection pass over delivery semantics: flaky collector, lost
-# acknowledgements, connection kill before reply, collector restart, and
-# spool eviction — all under the race detector.
+# acknowledgements, connection kill before reply, a truncated reply,
+# collector restart, and spool eviction — all under the race detector.
 .PHONY: faults
 faults:
 	$(GO) test -race -run 'TestFault' ./internal/control
@@ -59,6 +66,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) ./internal/tracedb
 	$(GO) test -run NONE -fuzz FuzzDecodeAggFrame -fuzztime $(FUZZTIME) ./internal/control
 	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/tracedb
+	$(GO) test -run NONE -fuzz FuzzDecodeReply -fuzztime $(FUZZTIME) ./internal/control
 
 # Coverage summary over the whole module.
 .PHONY: cover
@@ -67,7 +75,7 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 .PHONY: check
-check: tier1 vet bench-build staticcheck race faults crash fuzz cover bench-json
+check: tier1 fmt vet bench-build staticcheck race faults crash fuzz cover bench-json
 
 # The end-to-end benchmark is a nested module (pipebench/go.mod), so the
 # root `go build ./...` and `go test ./...` never compile it. Vetting it
@@ -79,9 +87,11 @@ bench-build:
 	cd pipebench && $(GO) vet ./...
 	cd pipebench && $(GO) test .
 
+# Wire codec, collector ingest, and one loopback round trip through
+# TCPSink and the server (the transport's own per-layer number).
 .PHONY: bench-wire
 bench-wire:
-	$(GO) test -run NONE -bench 'BenchmarkBatchWireEncoding|BenchmarkCollectorIngest' .
+	$(GO) test -run NONE -bench 'BenchmarkBatchWireEncoding|BenchmarkCollectorIngest|BenchmarkTCPRoundTrip' -benchmem .
 
 # Short benchmark smoke run archived as JSON: the emit hot path
 # (reserve/commit, contended per-CPU vs shared ring), the interpreter

@@ -8,6 +8,7 @@ package vnettracer
 
 import (
 	"fmt"
+	"net"
 	"testing"
 
 	"sync/atomic"
@@ -107,6 +108,42 @@ func BenchmarkCollectorIngest(b *testing.B) {
 		_, dropped := col.IngestStats()
 		b.ReportMetric(float64(batches)/float64(batches+dropped)*100, "ingested-%")
 	})
+}
+
+// nullAckSink acks every batch without storing it, so the transport is
+// all that BenchmarkTCPRoundTrip measures.
+type nullAckSink struct{}
+
+func (nullAckSink) HandleBatch(control.RecordBatch) error { return nil }
+
+func (nullAckSink) HandleBatchAck(control.RecordBatch) (control.BatchAck, error) {
+	return control.BatchAck{QueueDepth: 1, QueueCap: 64}, nil
+}
+
+// BenchmarkTCPRoundTrip measures one agent flush on the wire: a
+// 90-record batch (the pipeline benchmark's flush size) encoded by
+// TCPSink, sent over loopback, read and decoded by the server, handed to
+// an acking sink that does nothing, and the binary reply read back.
+func BenchmarkTCPRoundTrip(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := control.Serve(ln, nil, nullAckSink{})
+	defer srv.Close()
+	sink := control.NewTCPSink(srv.Addr().String())
+	defer sink.Close()
+	batch := benchBatch(90, 4)
+	if _, err := sink.HandleBatchAck(batch); err != nil { // dial outside the timer
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sink.HandleBatchAck(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkAblationSchedulerPolicy reports the mean vCPU wake-to-run delay

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"strings"
@@ -175,8 +176,9 @@ func TestFaultConnKillBeforeReply(t *testing.T) {
 			go func(conn net.Conn) {
 				defer wg.Done()
 				defer conn.Close()
+				r := bufio.NewReader(conn)
 				for {
-					body, err := readBody(conn)
+					body, err := readBody(r)
 					if err != nil {
 						return
 					}
@@ -192,7 +194,7 @@ func TestFaultConnKillBeforeReply(t *testing.T) {
 					if killOnce.CompareAndSwap(true, false) {
 						return // ingested — kill the connection before replying
 					}
-					if err := writeFrame(conn, envelope{Type: frameOK}); err != nil {
+					if err := writeFrame(conn, appendReply(make([]byte, frameHeaderSize), BatchAck{}, nil)); err != nil {
 						return
 					}
 				}
@@ -219,6 +221,94 @@ func TestFaultConnKillBeforeReply(t *testing.T) {
 	if batches != 1 || records != n {
 		t.Fatalf("collector stats = %d batches / %d records, want 1 / %d", batches, records, n)
 	}
+	dupB, dupR, _ := col.DeliveryStats()
+	if dupB != 1 || dupR != n {
+		t.Fatalf("duplicate stats = %d batches / %d records, want 1 / %d", dupB, dupR, n)
+	}
+}
+
+// TestFaultTruncatedReply: the collector ingests a batch, writes only
+// part of the reply frame and closes the connection. The sink must treat
+// the short reply as a transport failure, redial with a fresh reader and
+// re-send; the ledger drops the re-send, so the records count once and
+// the caller gets the clean reply of the second connection.
+func TestFaultTruncatedReply(t *testing.T) {
+	db := tracedb.New()
+	col := NewCollector(db)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var conns atomic.Int32
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			truncate := conns.Add(1) == 1
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				r := bufio.NewReader(conn)
+				for {
+					body, err := readBody(r)
+					if err != nil {
+						return
+					}
+					batch, err := DecodeBatchFrame(body)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if err := col.HandleBatch(batch); err != nil {
+						t.Error(err)
+						return
+					}
+					reply := appendReply(make([]byte, frameHeaderSize), BatchAck{QueueDepth: 3, QueueCap: 8}, nil)
+					if err := finishFrame(reply); err != nil {
+						t.Error(err)
+						return
+					}
+					if truncate {
+						conn.Write(reply[:frameHeaderSize+3]) // ingested, half a reply, then gone
+						return
+					}
+					if _, err := conn.Write(reply); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+
+	sink := NewTCPSink(ln.Addr().String())
+	defer sink.Close()
+	const n = 4
+	batch := RecordBatch{Agent: "agent-0", AgentTimeNs: 123, Seq: 1}
+	for i := 0; i < n; i++ {
+		batch.Records = append(batch.Records, core.Record{TPID: 1, TraceID: uint32(i + 1), TimeNs: uint64(i)})
+	}
+	ack, err := sink.HandleBatchAck(batch)
+	if err != nil {
+		t.Fatalf("retry after truncated reply failed: %v", err)
+	}
+	if ack != (BatchAck{QueueDepth: 3, QueueCap: 8}) {
+		t.Fatalf("ack = %+v, want the second connection's {3 8}", ack)
+	}
+	sink.Close()
+	ln.Close()
+	wg.Wait()
+
+	if c := conns.Load(); c != 2 {
+		t.Fatalf("sink made %d connections, want 2 (one redial)", c)
+	}
+	assertExactlyOnce(t, db, 1, n)
 	dupB, dupR, _ := col.DeliveryStats()
 	if dupB != 1 || dupR != n {
 		t.Fatalf("duplicate stats = %d batches / %d records, want 1 / %d", dupB, dupR, n)

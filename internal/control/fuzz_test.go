@@ -1,7 +1,9 @@
 package control
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -161,6 +163,37 @@ func FuzzDecodeAggFrame(f *testing.F) {
 		}
 		if !reflect.DeepEqual(rt, got) {
 			t.Fatalf("round trip changed frame:\n %+v\nvs %+v", rt, got)
+		}
+	})
+}
+
+// FuzzDecodeReply feeds the reply decoder arbitrary bytes. It must
+// either fail or return an ok reply or a RemoteError, and whatever
+// decodes must re-encode to exactly the bytes it came from — so no
+// malformed body can pass for a reply.
+func FuzzDecodeReply(f *testing.F) {
+	ok := appendReply(nil, BatchAck{QueueDepth: 3, QueueCap: 8}, nil)
+	f.Add([]byte{})
+	f.Add([]byte{replyMagic})
+	f.Add(ok)
+	f.Add(appendReply(nil, BatchAck{}, errors.New("spec rejected")))
+	f.Add(ok[:len(ok)-1])
+	f.Add(append([]byte{batchMagic}, ok[1:]...))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ack, err := decodeReply(body)
+		var reenc []byte
+		var remote *RemoteError
+		switch {
+		case err == nil:
+			reenc = appendReply(nil, ack, nil)
+		case errors.As(err, &remote):
+			reenc = appendReply(nil, ack, errors.New(remote.Msg))
+		default:
+			return
+		}
+		if !bytes.Equal(reenc, body) {
+			t.Fatalf("decoded %x as (%+v, %v), which re-encodes to %x", body, ack, err, reenc)
 		}
 	})
 }

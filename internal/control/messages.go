@@ -6,8 +6,9 @@
 // trace database and doubles as the agents' heartbeat monitor.
 //
 // The control plane is transport-agnostic: components connect in-process
-// for simulations, or over a length-prefixed JSON TCP protocol
-// (internal/control/tcp.go) for the distributed CLI.
+// for simulations, or over a length-prefixed TCP protocol
+// (internal/control/tcp.go) for the distributed CLI: binary record,
+// aggregate and reply frames, JSON control requests.
 package control
 
 import (

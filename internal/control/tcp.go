@@ -1,6 +1,7 @@
 package control
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -15,79 +16,72 @@ import (
 // length prefixes).
 const maxFrameBytes = 16 << 20
 
-// frame types.
-const (
-	frameControl = "control"
-	frameOK      = "ok"
-	frameError   = "error"
-)
+// frameHeaderSize is the 4-byte big-endian length prefix in front of
+// every frame body. Senders reserve it at the front of the buffer they
+// encode into, so a frame goes out in one Write.
+const frameHeaderSize = 4
 
-// envelope is the JSON wire message: a 4-byte big-endian length prefix
-// followed by this structure. Control packages and replies travel as
-// envelopes; record batches (wire.go) and aggregate batches (wire_agg.go)
-// travel as binary bodies under the same length prefix, distinguished by
-// their first byte.
+// serverReadBuf sizes the server's per-connection reader to hold a whole
+// flush-sized batch frame (≈4.4 KB for 90 records), so one read syscall
+// usually delivers a frame; the client's reader, which only sees small
+// replies, keeps bufio's default size.
+const serverReadBuf = 64 << 10
+
+// frameControl is the type of a control-package request.
+const frameControl = "control"
+
+// envelope is the JSON body of a control request. Record batches
+// (wire.go) and aggregate batches (wire_agg.go) travel as binary bodies
+// under the same length prefix, distinguished by their first byte, and
+// every request is answered with a binary reply (wire_reply.go).
 type envelope struct {
 	Type    string          `json:"type"`
 	Control *ControlPackage `json:"control,omitempty"`
-	// Ack rides on the "ok" reply to a batch frame: the collector's
-	// backpressure report. Absent when the sink does not report
-	// backpressure, which agents read as "no pressure signal".
-	Ack   *BatchAck `json:"ack,omitempty"`
-	Error string    `json:"error,omitempty"`
 }
 
-// writeBody frames a raw body with the 4-byte length prefix.
-func writeBody(w io.Writer, body []byte) error {
-	if len(body) > maxFrameBytes {
-		return fmt.Errorf("control: frame too large: %d bytes", len(body))
+// finishFrame patches the length prefix reserved at frame[:frameHeaderSize]
+// with the size of the body behind it. A body over maxFrameBytes is
+// refused, so an oversized frame is never sent.
+func finishFrame(frame []byte) error {
+	n := len(frame) - frameHeaderSize
+	if n > maxFrameBytes {
+		return fmt.Errorf("control: frame too large: %d bytes", n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("control: write frame header: %w", err)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	return nil
+}
+
+// writeFrame finishes frame and sends prefix and body in one Write.
+func writeFrame(w io.Writer, frame []byte) error {
+	if err := finishFrame(frame); err != nil {
+		return err
 	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("control: write frame body: %w", err)
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("control: write frame: %w", err)
 	}
 	return nil
 }
 
-func writeFrame(w io.Writer, env envelope) error {
-	body, err := json.Marshal(env)
+// readBody reads one length-prefixed frame body. The body is always a
+// freshly allocated copy, never a view of r's buffer: a decoded
+// RecordBatch aliases it (RawRecords), and sinks may keep batches past
+// the call (the collector's ingest queue), while r is reused for the
+// next frame on the connection.
+func readBody(r *bufio.Reader) ([]byte, error) {
+	hdr, err := r.Peek(frameHeaderSize)
 	if err != nil {
-		return fmt.Errorf("control: encode frame: %w", err)
-	}
-	return writeBody(w, body)
-}
-
-// readBody reads one length-prefixed frame body, JSON or binary.
-func readBody(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err // io.EOF passes through for clean close
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrameBytes {
 		return nil, fmt.Errorf("control: frame of %d bytes exceeds limit", n)
 	}
+	r.Discard(frameHeaderSize)
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, fmt.Errorf("control: read frame body: %w", err)
 	}
 	return body, nil
-}
-
-func readFrame(r io.Reader) (envelope, error) {
-	body, err := readBody(r)
-	if err != nil {
-		return envelope{}, err
-	}
-	var env envelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		return envelope{}, fmt.Errorf("control: decode frame: %w", err)
-	}
-	return env, nil
 }
 
 // Server accepts protocol connections and dispatches frames: control
@@ -176,79 +170,69 @@ func (s *Server) acceptLoop() {
 }
 
 func (s *Server) handle(conn net.Conn) {
+	r := bufio.NewReaderSize(conn, serverReadBuf)
+	reply := make([]byte, frameHeaderSize, frameHeaderSize+replyHeaderSize+64)
 	for {
-		body, err := readBody(conn)
+		body, err := readBody(r)
 		if err != nil {
 			return // EOF or protocol error: drop the connection
 		}
-		if err := writeFrame(conn, s.dispatch(body)); err != nil {
+		ack, err := s.dispatch(body)
+		reply = appendReply(reply[:frameHeaderSize], ack, err)
+		if err := writeFrame(conn, reply); err != nil {
 			return
 		}
 	}
 }
 
 // sinkHandle feeds a batch to the sink, preferring the acking interface
-// so the reply can carry the collector's backpressure report.
-func (s *Server) sinkHandle(b RecordBatch) (*BatchAck, error) {
+// so the reply can carry the collector's backpressure report. A sink
+// without it acks with the zero BatchAck — "no pressure signal".
+func (s *Server) sinkHandle(b RecordBatch) (BatchAck, error) {
 	if acking, ok := s.sink.(AckingRecordSink); ok {
-		ack, err := acking.HandleBatchAck(b)
-		if err != nil {
-			return nil, err
-		}
-		return &ack, nil
+		return acking.HandleBatchAck(b)
 	}
-	return nil, s.sink.HandleBatch(b)
+	return BatchAck{}, s.sink.HandleBatch(b)
 }
 
-// dispatch routes one frame body. Binary batch bodies (first byte
-// batchMagic) and aggregate bodies (aggMagic) go straight to the sink;
-// everything else is a JSON envelope.
-func (s *Server) dispatch(body []byte) envelope {
+// dispatch routes one frame body and returns what the reply carries.
+// Binary batch bodies (first byte batchMagic) and aggregate bodies
+// (aggMagic) go straight to the sink; everything else is a JSON control
+// envelope.
+func (s *Server) dispatch(body []byte) (BatchAck, error) {
 	if len(body) > 0 && body[0] == aggMagic {
 		agg, ok := s.sink.(AggSink)
 		if s.sink == nil || !ok {
 			s.unsupportedAggFrames.Add(1)
-			return envelope{Type: frameError, Error: "collector does not support aggregate frames"}
+			return BatchAck{}, errors.New("collector does not support aggregate frames")
 		}
 		batch, err := DecodeAggFrame(body)
 		if err != nil {
-			return envelope{Type: frameError, Error: err.Error()}
+			return BatchAck{}, err
 		}
-		if err := agg.HandleAgg(batch); err != nil {
-			return envelope{Type: frameError, Error: err.Error()}
-		}
-		return envelope{Type: frameOK}
+		return BatchAck{}, agg.HandleAgg(batch)
 	}
 	if len(body) > 0 && body[0] == batchMagic {
 		if s.sink == nil {
-			return envelope{Type: frameError, Error: "not a collector endpoint"}
+			return BatchAck{}, errors.New("not a collector endpoint")
 		}
 		batch, err := DecodeBatchFrame(body)
 		if err != nil {
-			return envelope{Type: frameError, Error: err.Error()}
+			return BatchAck{}, err
 		}
-		ack, err := s.sinkHandle(batch)
-		if err != nil {
-			return envelope{Type: frameError, Error: err.Error()}
-		}
-		return envelope{Type: frameOK, Ack: ack}
+		return s.sinkHandle(batch)
 	}
 	var env envelope
 	if err := json.Unmarshal(body, &env); err != nil {
-		return envelope{Type: frameError, Error: fmt.Sprintf("decode frame: %v", err)}
+		return BatchAck{}, fmt.Errorf("decode frame: %v", err)
 	}
-	switch {
-	case env.Type == frameControl && env.Control != nil:
-		if s.agent == nil {
-			return envelope{Type: frameError, Error: "not an agent endpoint"}
-		}
-		if err := s.agent.Apply(*env.Control); err != nil {
-			return envelope{Type: frameError, Error: err.Error()}
-		}
-	default:
-		return envelope{Type: frameError, Error: fmt.Sprintf("unknown frame %q", env.Type)}
+	if env.Type != frameControl || env.Control == nil {
+		return BatchAck{}, fmt.Errorf("unknown frame %q", env.Type)
 	}
-	return envelope{Type: frameOK}
+	if s.agent == nil {
+		return BatchAck{}, errors.New("not an agent endpoint")
+	}
+	return BatchAck{}, s.agent.Apply(*env.Control)
 }
 
 // RemoteError is an application-level rejection from the far endpoint
@@ -267,58 +251,83 @@ type client struct {
 	addr string
 	mu   sync.Mutex
 	conn net.Conn
+	// r reads replies off conn. It is reset onto every newly dialled
+	// connection, so bytes buffered from a dead one are never read as a
+	// reply.
+	r *bufio.Reader
 }
 
-func (c *client) roundTrip(body []byte) (envelope, error) {
+// roundTrip sends one frame — a body behind frameHeaderSize reserved
+// bytes, which it patches with the length — and returns the reply's ack.
+// An oversized frame is refused before anything is dialled or sent.
+func (c *client) roundTrip(frame []byte) (BatchAck, error) {
+	if err := finishFrame(frame); err != nil {
+		return BatchAck{}, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	reply, err := c.tryLocked(body)
+	ack, err := c.tryLocked(frame)
 	if err == nil {
-		return reply, nil
+		return ack, nil
 	}
 	var remote *RemoteError
 	if errors.As(err, &remote) {
-		return envelope{}, err
+		return BatchAck{}, err
 	}
-	// Transport failure: reset the connection and retry once.
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	return c.tryLocked(body)
+	return c.tryLocked(frame) // transport failure: retry once on a new connection
 }
 
-func (c *client) tryLocked(body []byte) (envelope, error) {
+// tryLocked makes one exchange. A transport failure closes the
+// connection, so nothing left unread on it can answer a later request.
+func (c *client) tryLocked(frame []byte) (BatchAck, error) {
 	if c.conn == nil {
 		conn, err := net.Dial("tcp", c.addr)
 		if err != nil {
-			return envelope{}, fmt.Errorf("control: dial %s: %w", c.addr, err)
+			return BatchAck{}, fmt.Errorf("control: dial %s: %w", c.addr, err)
 		}
 		c.conn = conn
+		if c.r == nil {
+			c.r = bufio.NewReader(conn)
+		} else {
+			c.r.Reset(conn) // drops anything buffered from the old connection
+		}
 	}
-	if err := writeBody(c.conn, body); err != nil {
-		return envelope{}, err
-	}
-	reply, err := readFrame(c.conn)
+	ack, err := c.exchangeLocked(frame)
 	if err != nil {
-		return envelope{}, err
+		var remote *RemoteError
+		if !errors.As(err, &remote) {
+			c.closeLocked()
+		}
+		return BatchAck{}, err
 	}
-	if reply.Type == frameError {
-		return envelope{}, &RemoteError{Msg: reply.Error}
+	return ack, nil
+}
+
+func (c *client) exchangeLocked(frame []byte) (BatchAck, error) {
+	if _, err := c.conn.Write(frame); err != nil {
+		return BatchAck{}, fmt.Errorf("control: write frame: %w", err)
 	}
-	return reply, nil
+	body, err := readBody(c.r)
+	if err != nil {
+		return BatchAck{}, err
+	}
+	return decodeReply(body)
+}
+
+func (c *client) closeLocked() error {
+	if c.conn == nil {
+		return nil
+	}
+	err := c.conn.Close()
+	c.conn = nil
+	return err
 }
 
 // Close tears down the connection.
 func (c *client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conn != nil {
-		err := c.conn.Close()
-		c.conn = nil
-		return err
-	}
-	return nil
+	return c.closeLocked()
 }
 
 // TCPControlClient pushes control packages to a remote agent endpoint.
@@ -339,7 +348,8 @@ func (c *TCPControlClient) Apply(pkg ControlPackage) error {
 	if err != nil {
 		return fmt.Errorf("control: encode frame: %w", err)
 	}
-	_, err = c.roundTrip(body)
+	frame := append(make([]byte, frameHeaderSize, frameHeaderSize+len(body)), body...)
+	_, err = c.roundTrip(frame)
 	return err
 }
 
@@ -356,8 +366,8 @@ func NewTCPSink(addr string) *TCPSink {
 	return &TCPSink{client: client{addr: addr}}
 }
 
-// encodeBufPool recycles binary batch-frame encode buffers across
-// HandleBatch calls: the frame is fully written to the socket inside
+// encodeBufPool recycles frame encode buffers across HandleBatchAck and
+// HandleAgg calls: the frame is fully written to the socket inside
 // roundTrip, so the buffer can be reused the moment it returns, making
 // steady-state shipping allocation-free on the encode side.
 var encodeBufPool = sync.Pool{
@@ -374,42 +384,37 @@ func (s *TCPSink) HandleBatch(b RecordBatch) error {
 }
 
 // HandleBatchAck implements AckingRecordSink over TCP: the collector's
-// backpressure report is read out of the "ok" reply envelope. A reply
-// without an ack comes back as the zero BatchAck — "no pressure signal".
+// backpressure report is read out of the reply frame. A collector whose
+// sink reports no backpressure acks with the zero BatchAck — "no
+// pressure signal".
 func (s *TCPSink) HandleBatchAck(b RecordBatch) (BatchAck, error) {
 	bufp := encodeBufPool.Get().(*[]byte)
-	body, err := AppendBatchFrame((*bufp)[:0], &b)
+	frame, err := AppendBatchFrame((*bufp)[:frameHeaderSize], &b)
 	if err != nil {
 		encodeBufPool.Put(bufp)
 		return BatchAck{}, err
 	}
-	reply, err := s.roundTrip(body)
-	*bufp = body[:0]
+	ack, err := s.roundTrip(frame)
+	*bufp = frame[:0]
 	encodeBufPool.Put(bufp)
-	if err != nil {
-		return BatchAck{}, err
-	}
-	if reply.Ack != nil {
-		return *reply.Ack, nil
-	}
-	return BatchAck{}, nil
+	return ack, err
 }
 
 var _ AggSink = (*TCPSink)(nil)
 
 // HandleAgg implements AggSink over TCP with the v5 binary aggregate
 // frame. A collector whose sink cannot ingest aggregates answers with an
-// error frame, which surfaces here as a RemoteError — the agent's
+// error reply, which surfaces here as a RemoteError — the agent's
 // fail-closed signal.
 func (s *TCPSink) HandleAgg(b AggBatch) error {
 	bufp := encodeBufPool.Get().(*[]byte)
-	body, err := AppendAggFrame((*bufp)[:0], &b)
+	frame, err := AppendAggFrame((*bufp)[:frameHeaderSize], &b)
 	if err != nil {
 		encodeBufPool.Put(bufp)
 		return err
 	}
-	_, err = s.roundTrip(body)
-	*bufp = body[:0]
+	_, err = s.roundTrip(frame)
+	*bufp = frame[:0]
 	encodeBufPool.Put(bufp)
 	return err
 }

@@ -10,8 +10,9 @@ import (
 
 // Binary batch framing (protocol v4). Record batches dominate the wire
 // traffic of a deployment, and JSON inflates the fixed 48-byte record
-// roughly 5-8x plus reflection cost on both ends; control packages and
-// replies stay JSON (rare, structured, debuggable). A batch frame body is:
+// roughly 5-8x plus reflection cost on both ends; only control packages
+// stay JSON (rare, structured, debuggable), and every reply is a small
+// binary frame (wire_reply.go). A batch frame body is:
 //
 //	[0]     magic, batchMagic (0xB2 — can never collide with '{' (0x7B),
 //	        the first byte of every JSON envelope, so frames are
@@ -118,10 +119,12 @@ func DecodeBatchFrame(body []byte) (RecordBatch, error) {
 			return RecordBatch{}, fmt.Errorf("control: binary batch records: %w", err)
 		}
 		b.Records = recs
-		// Keep the record section itself: readBody allocates a fresh
-		// buffer per frame, so the alias stays valid for the batch's
-		// lifetime and durable sinks can WAL the bytes without
-		// re-encoding.
+		// Keep the record section itself. This relies on the retention
+		// contract of readBody: every frame body is a fresh allocation,
+		// never a view of the connection's read buffer, so the alias
+		// stays valid for the batch's lifetime (sinks may queue or keep
+		// batches past the call) and durable sinks can WAL the bytes
+		// without re-encoding.
 		b.RawRecords = raw
 	}
 	return b, nil

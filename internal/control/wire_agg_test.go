@@ -99,9 +99,9 @@ func TestAggFrameRejectsHostileCounts(t *testing.T) {
 	hostile = binary.AppendUvarint(hostile, 1) // one script
 	hostile = binary.AppendUvarint(hostile, 1)
 	hostile = append(hostile, 's')
-	hostile = binary.AppendUvarint(hostile, 0)       // no counters
-	hostile = binary.AppendUvarint(hostile, 1<<40)   // cpu hits: dense length
-	hostile = binary.AppendUvarint(hostile, 0)       // no nonzero entries
+	hostile = binary.AppendUvarint(hostile, 0)     // no counters
+	hostile = binary.AppendUvarint(hostile, 1<<40) // cpu hits: dense length
+	hostile = binary.AppendUvarint(hostile, 0)     // no nonzero entries
 	if _, err := DecodeAggFrame(hostile); err == nil || !strings.Contains(err.Error(), "sparse series") {
 		t.Fatalf("hostile sparse length: %v", err)
 	}

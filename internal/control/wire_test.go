@@ -164,7 +164,7 @@ func TestBatchFrameRejectsRetiredVersions(t *testing.T) {
 	c := &client{addr: srv.Addr().String()}
 	defer c.Close()
 	for name, body := range retired {
-		_, err := c.roundTrip(body)
+		_, err := c.roundTrip(framed(body))
 		var remote *RemoteError
 		if !errors.As(err, &remote) {
 			t.Errorf("%s over TCP: got %v, want an error frame", name, err)

@@ -48,9 +48,9 @@ func DefaultCosts() Costs {
 
 // NodeConfig configures a simulated machine (physical host, VM, or Dom0).
 type NodeConfig struct {
-	Name    string
-	NumCPU  int
-	Costs   Costs
+	Name   string
+	NumCPU int
+	Costs  Costs
 	// ClockOffsetNs and ClockDriftPPB set the node's CLOCK_MONOTONIC skew
 	// relative to engine truth (paper Section III-B, Cristian's algorithm).
 	ClockOffsetNs int64

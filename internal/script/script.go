@@ -70,11 +70,11 @@ type Filter struct {
 // Spec is a complete trace-script specification: where to attach, what to
 // match, and what to do.
 type Spec struct {
-	Name   string           `json:"name"`
-	TPID   uint32           `json:"tp_id"`
-	Attach core.AttachPoint `json:"attach"`
-	Filter Filter           `json:"filter"`
-	Actions []Action        `json:"actions"`
+	Name    string           `json:"name"`
+	TPID    uint32           `json:"tp_id"`
+	Attach  core.AttachPoint `json:"attach"`
+	Filter  Filter           `json:"filter"`
+	Actions []Action         `json:"actions"`
 	// NumCPU sizes the per-CPU histogram map; defaults to 64.
 	NumCPU int `json:"num_cpu,omitempty"`
 	// MaxFlows caps the flow-count hash map; defaults to 1024. Flows

@@ -60,7 +60,7 @@ func tupleOf(r *core.Record) flowTuple {
 	}
 }
 
-func zigzag(v int64) uint64  { return uint64(v<<1) ^ uint64(v>>63) }
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // delta32/delta64 compute wrap-around field deltas sized to the field, so
